@@ -46,7 +46,6 @@ from repro.energy import (
     EnergyBreakdown,
     PowerModel,
     PowerState,
-    SelfTuningPolicy,
     StaticPolicy,
     TimeBreakdown,
     break_even_cycles,
@@ -106,7 +105,7 @@ __all__ = [
     "PowerState", "PowerModel", "EnergyBreakdown", "TimeBreakdown",
     "rdram_1600_model", "ddr_sdram_model", "default_dynamic_policy",
     "DynamicThresholdPolicy", "StaticPolicy", "AlwaysOnPolicy",
-    "SelfTuningPolicy", "break_even_cycles",
+    "break_even_cycles",
     # core techniques
     "MemoryController", "BaselineController", "TemporalAlignmentController",
     "SlackAccount", "PopularityTracker", "PopularityGrouper",

@@ -19,11 +19,9 @@ from repro.energy.policies import (
     break_even_cycles,
     default_dynamic_policy,
 )
-from repro.energy.selftuning import SelfTuningPolicy
 
 __all__ = [
     "AlwaysOnPolicy",
-    "SelfTuningPolicy",
     "PowerState",
     "Transition",
     "PowerModel",

@@ -288,9 +288,8 @@ class FluidChip:
         Strictly read-only: the pending ``now - _time`` span is
         classified exactly as :meth:`advance` will classify it, but
         nothing is accrued — splitting an accrual at an observation
-        point would change float rounding, and telemetry-enabled runs
-        must stay bit-identical in energy. Used by the live-telemetry
-        sampler only.
+        point would change float rounding, and observed runs must stay
+        bit-identical in energy. Used by the epoch probe only.
         """
         buckets = self.time.as_dict()
         buckets.pop("total", None)

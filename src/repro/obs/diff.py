@@ -6,9 +6,10 @@ The repo's correctness story is a stack of bit-exactness guarantees
 serial). When one of them breaks, an end-of-run assertion says *that*
 two runs disagree but not *where*. This module answers the "where":
 
-* :class:`DigestRecorder` — a read-only per-epoch sampler (same event
-  discipline as :class:`~repro.obs.telemetry.TelemetrySampler`) that
-  folds the run's observable state — per-chip residency buckets,
+* :class:`DigestRecorder` — a consumer of the run's
+  :class:`~repro.obs.probe.EpochProbe` (like
+  :class:`~repro.obs.telemetry.TelemetrySampler`) that folds each
+  epoch's probe vector — per-chip residency buckets,
   energy-to-date and instantaneous power, the slack account, bus
   queues, degradation-to-date — into a rolling **blake2b chain**. Two
   runs evolve identical chains for exactly as long as their observable
@@ -34,12 +35,9 @@ two runs disagree but not *where*. This module answers the "where":
   messages that name the disagreeing quantity instead of dumping two
   giant dicts.
 
-The recorder is strictly observational (it samples via ``chip.observe``
-and never touches accrual), rides a dedicated event kind that both
-engines exclude from their progress horizon, and cuts the array-timeline
-kernel's batching windows exactly like telemetry does — so a
-digest-enabled run is bit-identical in energy/time/duration to a
-disabled one (gated by ``tests/integration/test_digest_equivalence.py``).
+The probe is strictly observational, so a digest-enabled run is
+bit-identical in energy/time/duration to a disabled one (gated by
+``tests/integration/test_digest_equivalence.py``).
 
 Fault injection: ``DigestConfig(inject_skew_epoch=N)`` adds phantom
 cycles to the *observed* degradation at digest epoch ``N`` only (the
@@ -58,20 +56,11 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError, DiffError
+from repro.obs.export import RESIDENCY_BUCKETS
+from repro.obs.probe import I_DEG, I_TS, SCALAR_FIELDS
 
 #: Bump when the trail serialisation layout changes incompatibly.
 TRAIL_VERSION = 1
-
-#: Chip residency buckets, in digest column order (matches
-#: :data:`repro.obs.telemetry.RESIDENCY_BUCKETS`).
-RESIDENCY_BUCKETS = ("serving_dma", "serving_proc", "idle_dma",
-                     "idle_threshold", "transition", "low_power",
-                     "migration")
-
-#: Run-wide scalar fields, in digest order (per-chip and per-bus blocks
-#: follow them; see :meth:`DigestRecorder.bind`).
-SCALAR_FIELDS = ("ts", "requests", "degradation_cycles", "slack_balance",
-                 "slack_pending", "migrations")
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +275,10 @@ def read_trail(path: str | Path) -> DigestTrail:
 class DigestRecorder:
     """Per-epoch state-digest recorder attached to one engine run.
 
-    Pass an instance as ``simulate(..., digests=recorder)``; the engine
-    calls :meth:`bind` at construction and :meth:`sample` at each
-    digest event plus once at the end of the run. Single-use — bind a
-    fresh one per run.
+    Pass an instance as ``simulate(..., digests=recorder)``; the run's
+    :class:`~repro.obs.probe.EpochProbe` calls :meth:`bind` at engine
+    construction and :meth:`sample` at each probe tick plus once at the
+    end of the run. Single-use — bind a fresh one per run.
     """
 
     def __init__(self, config: DigestConfig | None = None) -> None:
@@ -299,103 +288,36 @@ class DigestRecorder:
         self.captures: list[EpochCapture] = []
         self.label = ""
         self.sample_cycles = 0.0
-        self._engine = None
-        self._slack = None
-        self._chips: list = []
-        self._read_requests: Callable[[], float] | None = None
-        self._read_bus: Callable[[int], tuple[float, float]] | None = None
-        self._n_buses = 0
         self._chain = b""
         self._chain_hex = ""
-        self._last_ts = -math.inf
 
-    # --- binding ----------------------------------------------------------
+    @property
+    def requested_cycles(self) -> float | None:
+        """The configured period (``None``: the probe's default)."""
+        return self.config.epoch_cycles
 
-    def bind(self, engine) -> None:
-        """Attach to an engine (fluid or precise) before its run starts."""
-        if self._engine is not None:
+    def bind(self, probe) -> None:
+        """Attach to a run's epoch probe before the run starts."""
+        if self.store is not None:
             raise DiffError(
                 "DigestRecorder is single-use: already bound to a run")
-        self._engine = engine
-        self._slack = getattr(engine.controller, "slack", None)
-
-        period = self.config.epoch_cycles
-        if period is None:
-            period = (engine.controller.epoch_cycles()
-                      or engine.config.alignment.epoch_cycles)
-        self.sample_cycles = float(period)
-
-        if hasattr(engine, "memory"):  # fluid
-            self.label = "fluid"
-            self._chips = list(engine.memory.chips)
-            self._read_requests = engine._served_requests
-            buses = engine.buses
-
-            def read_bus(bus_id: int) -> tuple[float, float]:
-                bus = buses[bus_id]
-                busy = 1.0 if (bus.current is not None or bus.members) else 0.0
-                return busy, float(len(bus.queue))
-        else:  # precise
-            self.label = "precise"
-            self._chips = list(engine.chips)
-            self._read_requests = engine._arrived_requests
-            current, fifo = engine._bus_current, engine._bus_fifo
-
-            def read_bus(bus_id: int) -> tuple[float, float]:
-                busy = 1.0 if current[bus_id] is not None else 0.0
-                return busy, float(len(fifo[bus_id]))
-        self._read_bus = read_bus
-        self._n_buses = engine.config.buses.count
-
-        fields = list(SCALAR_FIELDS)
-        for chip in self._chips:
-            fields.append(f"chip{chip.chip_id}.energy_j")
-            fields.append(f"chip{chip.chip_id}.power_w")
-            fields.extend(f"chip{chip.chip_id}.{bucket}"
-                          for bucket in RESIDENCY_BUCKETS)
-        for bus_id in range(self._n_buses):
-            fields.append(f"bus{bus_id}.busy")
-            fields.append(f"bus{bus_id}.queue_depth")
-        self.fields = tuple(fields)
+        self.label = probe.label
+        self.sample_cycles = probe.period
+        self.fields = probe.fields
         self.store = DigestStore(capacity=self.config.capacity)
 
-    # --- sampling ---------------------------------------------------------
-
-    def sample(self, now: float, final: bool = False) -> None:
-        """Digest one read-only snapshot of the bound engine at ``now``."""
-        engine = self._engine
+    def sample(self, values: list[float]) -> None:
+        """Fold one probe vector (laid out as :attr:`fields`) into the chain."""
         store = self.store
-        if engine is None or store is None:
+        if store is None:
             raise DiffError("sample() before bind(): attach the recorder "
                             "via simulate(digests=...)")
-        if final and now <= self._last_ts:
-            return  # the last periodic digest already covered the end
-        self._last_ts = now
         tick = store.ticks
-
-        values: list[float] = [now]
-        requests = self._read_requests()
-        values.append(float(requests))
-        degradation = engine.head_delay_total + engine.extra_service_total
-        if self.config.inject_skew_epoch is not None \
-                and tick == self.config.inject_skew_epoch:
+        if tick == self.config.inject_skew_epoch:
             # Observed-series fault only: the simulation is untouched.
-            degradation += self.config.inject_skew_cycles
-        values.append(float(degradation))
-        values.append(float(self._slack.slack(requests))
-                      if self._slack is not None else 0.0)
-        values.append(float(engine.controller.pending_count()))
-        values.append(float(engine.migrations))
-        for chip in self._chips:
-            buckets, power = chip.observe(now)
-            values.append(float(chip.energy.total))
-            values.append(float(power))
-            values.extend(float(buckets[bucket])
-                          for bucket in RESIDENCY_BUCKETS)
-        for bus_id in range(self._n_buses):
-            busy, depth = self._read_bus(bus_id)
-            values.append(busy)
-            values.append(depth)
+            values = list(values)
+            values[I_DEG] += self.config.inject_skew_cycles
+        now = values[I_TS]
 
         # repr() of a float is shortest-round-trip exact, so the payload
         # encodes the bit pattern: any ULP of state difference flips the
@@ -412,9 +334,6 @@ class DigestRecorder:
                 tick=tick, ts=now,
                 fields=dict(zip(self.fields, values)),
                 chain=self._chain_hex))
-
-    def close(self) -> None:  # symmetry with TelemetrySampler
-        pass
 
     def trail(self) -> DigestTrail:
         """The run's trail (call after the run completed)."""

@@ -1,10 +1,10 @@
 """Live per-epoch telemetry: sampler, bounded store, and exporters.
 
 Both engines can carry a :class:`TelemetrySampler` (``simulate(...,
-telemetry=sampler)``). The sampler rides a dedicated read-only event kind
-scheduled at a fixed cadence (the DMA-TA epoch length by default, so
-"per-epoch" is literal when a DMA-TA technique runs and epoch-equivalent
-otherwise) and snapshots, without touching any simulation state:
+telemetry=sampler)``). The sampler subscribes to the run's
+:class:`~repro.obs.probe.EpochProbe`, which ticks at a fixed cadence (the
+DMA-TA epoch length by default, so "per-epoch" is literal when a DMA-TA
+technique runs and epoch-equivalent otherwise), and keeps:
 
 * per-chip power-state residency-to-date (the seven
   :data:`RESIDENCY_BUCKETS`) and instantaneous power draw,
@@ -26,13 +26,9 @@ recorded on ``sampler.anomalies`` and — when the run is traced — emitted
 as ``telemetry.anomaly`` instants into the existing tracer/audit
 pipeline.
 
-The sampler is strictly observational: it never calls ``touch`` /
-``advance`` on a chip (splitting an accrual changes float rounding), the
-precise engine excludes telemetry events from its end-of-run horizon,
-and the array-timeline kernel cuts its batching windows at the next
-sample time. A telemetry-enabled run is therefore bit-identical in
-:class:`~repro.energy.accounting.EnergyBreakdown` to a disabled one —
-the same guarantee the tracer and auditor meet (gated by
+The probe is strictly observational, so a telemetry-enabled run is
+bit-identical in :class:`~repro.energy.accounting.EnergyBreakdown` to a
+disabled one — the same guarantee the tracer and auditor meet (gated by
 ``tests/integration/test_telemetry_equivalence.py``).
 """
 
@@ -43,26 +39,22 @@ import math
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, TelemetryError
 from repro.obs.events import TRACK_SIM
+from repro.obs.export import RESIDENCY_BUCKETS
+from repro.obs.probe import (CHIP_WIDTH, I_DEG, I_MIG, I_PEND, I_TS,
+                             SCALAR_FIELDS)
 
-#: Chip residency buckets, in column order (matches
-#: :data:`repro.obs.export.RESIDENCY_BUCKETS`).
-RESIDENCY_BUCKETS = ("serving_dma", "serving_proc", "idle_dma",
-                     "idle_threshold", "transition", "low_power",
-                     "migration")
+#: Run-wide scalar columns, in row order: the probe's scalars plus two
+#: derived ones (per-chip and per-bus blocks follow them; see
+#: :meth:`TelemetrySampler.bind`).
+SCALAR_COLUMNS = SCALAR_FIELDS + ("migration_waves", "power_w")
 
-#: Run-wide scalar columns, in row order (per-chip and per-bus blocks
-#: follow them; see :meth:`TelemetrySampler.bind`).
-SCALAR_COLUMNS = ("ts", "requests", "degradation_cycles", "slack_balance",
-                  "slack_pending", "migrations", "migration_waves",
-                  "power_w")
-
-_I_TS, _I_REQ, _I_DEG, _I_BAL, _I_PEND, _I_MIG, _I_WAVES, _I_POWER = range(8)
+_I_WAVES, _I_POWER = len(SCALAR_FIELDS), len(SCALAR_FIELDS) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +586,10 @@ class SseBroker(TelemetryExporter):
 class TelemetrySampler:
     """Per-epoch read-only sampler attached to one engine run.
 
-    Pass an instance as ``simulate(..., telemetry=sampler)``; the engine
-    calls :meth:`bind` at construction and :meth:`sample` at each
-    telemetry event plus once at the end of the run. A sampler is
-    single-use — bind a fresh one per run.
+    Pass an instance as ``simulate(..., telemetry=sampler)``; the run's
+    :class:`~repro.obs.probe.EpochProbe` calls :meth:`bind` at engine
+    construction and :meth:`sample` at each probe tick plus once at the
+    end of the run. A sampler is single-use — bind a fresh one per run.
     """
 
     def __init__(self, config: TelemetryConfig | None = None,
@@ -609,73 +601,56 @@ class TelemetrySampler:
         self.anomalies: list[TelemetryAnomaly] = []
         self.samples_captured = 0
         self.sample_cycles = 0.0
-        self._engine = None
         self._tracer = None
-        self._slack = None
-        self._chips: list = []
-        self._read_requests: Callable[[], float] | None = None
-        self._read_bus: Callable[[int], tuple[float, float]] | None = None
-        self._n_buses = 0
-        self._last_migrations = 0
+        self._chip_power: list[int] = []
+        self._source: np.ndarray | None = None
+        self._last_migrations = 0.0
         self._waves = 0
-        self._last_ts = -math.inf
         self._spike_at = math.inf
         self._spike_pending = 0.0
         self._cusum: CusumDetector | None = None
         self._pending: PendingDriftDetector | None = None
 
+    @property
+    def requested_cycles(self) -> float | None:
+        """The configured period (``None``: the probe's default)."""
+        return self.config.sample_cycles
+
     # --- binding ----------------------------------------------------------
 
-    def bind(self, engine) -> None:
-        """Attach to an engine (fluid or precise) before its run starts."""
-        if self._engine is not None:
+    def bind(self, probe) -> None:
+        """Attach to a run's epoch probe before the run starts."""
+        if self.store is not None:
             raise TelemetryError(
                 "TelemetrySampler is single-use: already bound to a run")
-        self._engine = engine
-        self._tracer = engine.tracer
-        self._slack = getattr(engine.controller, "slack", None)
+        self._tracer = probe.tracer
+        self.sample_cycles = probe.period
 
-        period = self.config.sample_cycles
-        if period is None:
-            period = (engine.controller.epoch_cycles()
-                      or engine.config.alignment.epoch_cycles)
-        self.sample_cycles = float(period)
-
-        if hasattr(engine, "memory"):  # fluid
-            self._chips = list(engine.memory.chips)
-            self._read_requests = engine._served_requests
-            buses = engine.buses
-
-            def read_bus(bus_id: int) -> tuple[float, float]:
-                bus = buses[bus_id]
-                busy = 1.0 if (bus.current is not None or bus.members) else 0.0
-                return busy, float(len(bus.queue))
-        else:  # precise
-            self._chips = list(engine.chips)
-            self._read_requests = engine._arrived_requests
-            current, fifo = engine._bus_current, engine._bus_fifo
-
-            def read_bus(bus_id: int) -> tuple[float, float]:
-                busy = 1.0 if current[bus_id] is not None else 0.0
-                return busy, float(len(fifo[bus_id]))
-        self._read_bus = read_bus
-        self._n_buses = engine.config.buses.count
-
+        # Per-chip power and residency, then per-bus busy and depth,
+        # picked out of the probe vector (which also carries energy).
         columns = list(SCALAR_COLUMNS)
-        for chip in self._chips:
-            columns.append(f"chip{chip.chip_id}.power_w")
-            columns.extend(f"chip{chip.chip_id}.{bucket}"
+        source: list[int] = []
+        base = len(SCALAR_FIELDS)
+        for chip_id in probe.chip_ids:
+            columns.append(f"chip{chip_id}.power_w")
+            columns.extend(f"chip{chip_id}.{bucket}"
                            for bucket in RESIDENCY_BUCKETS)
-        for bus_id in range(self._n_buses):
+            self._chip_power.append(base + 1)
+            source.extend(range(base + 1, base + CHIP_WIDTH))
+            base += CHIP_WIDTH
+        for bus_id in range(probe.n_buses):
             columns.append(f"bus{bus_id}.util")
             columns.append(f"bus{bus_id}.queue_depth")
+            source.extend((base, base + 1))
+            base += 2
         self.columns = tuple(columns)
+        self._source = np.array(source, dtype=np.intp)
         self.store = TelemetryStore(self.columns,
                                     capacity=self.config.capacity)
 
         if self.config.inject_spike_cycles > 0:
             self._spike_at = (self.config.inject_spike_at_frac
-                              * engine.trace.duration_cycles)
+                              * probe.duration_cycles)
             self._spike_pending = self.config.inject_spike_cycles
         if self.config.detectors:
             self._cusum = CusumDetector(
@@ -690,49 +665,31 @@ class TelemetrySampler:
 
     # --- sampling ---------------------------------------------------------
 
-    def sample(self, now: float, final: bool = False) -> None:
-        """Capture one read-only snapshot of the bound engine at ``now``."""
-        engine = self._engine
-        if engine is None or self.store is None:
+    def sample(self, values: list[float]) -> None:
+        """Capture one probe vector (see :class:`~repro.obs.probe.EpochProbe`)."""
+        if self.store is None:
             raise TelemetryError("sample() before bind(): attach the "
                                  "sampler via simulate(telemetry=...)")
-        if final and now <= self._last_ts:
-            return  # the last periodic sample already covered the end
-        self._last_ts = now
-
-        row = np.zeros(len(self.columns))
-        row[_I_TS] = now
-        row[_I_REQ] = requests = self._read_requests()
-        degradation = engine.head_delay_total + engine.extra_service_total
+        now = values[I_TS]
+        degradation = values[I_DEG]
         if self._spike_pending and now >= self._spike_at:
             degradation += self._spike_pending
             self._spike_pending = 0.0
-        row[_I_DEG] = degradation
-        row[_I_BAL] = (self._slack.slack(requests)
-                       if self._slack is not None else 0.0)
-        row[_I_PEND] = pending = float(engine.controller.pending_count())
-        migrations = int(engine.migrations)
+        pending = values[I_PEND]
+        migrations = values[I_MIG]
         if migrations > self._last_migrations:
             self._waves += 1
             self._last_migrations = migrations
-        row[_I_MIG] = float(migrations)
-        row[_I_WAVES] = float(self._waves)
-
-        base = len(SCALAR_COLUMNS)
         total_power = 0.0
-        for chip in self._chips:
-            buckets, power = chip.observe(now)
-            row[base] = power
-            total_power += power
-            for offset, bucket in enumerate(RESIDENCY_BUCKETS):
-                row[base + 1 + offset] = buckets[bucket]
-            base += 1 + len(RESIDENCY_BUCKETS)
+        for index in self._chip_power:
+            total_power += values[index]
+
+        row = np.empty(len(self.columns))
+        row[:_I_WAVES] = values[:_I_WAVES]
+        row[I_DEG] = degradation
+        row[_I_WAVES] = self._waves
         row[_I_POWER] = total_power
-        for bus_id in range(self._n_buses):
-            util, depth = self._read_bus(bus_id)
-            row[base] = util
-            row[base + 1] = depth
-            base += 2
+        row[len(SCALAR_COLUMNS):] = np.take(values, self._source)
 
         index = self.samples_captured
         self.samples_captured += 1

@@ -141,15 +141,13 @@ class ArrayTimelineKernel:
         stream keeps at least one request untransmitted.)
         """
         engine = self.engine
-        # Telemetry samples and state digests must observe scalar-
-        # consistent state, so a pending sample time closes the window
-        # like any other shared-state observer (math.inf — no cut at
-        # all — when disabled).
+        # The epoch probe must observe scalar-consistent state, so a
+        # pending probe time closes the window like any other shared-
+        # state observer (math.inf — no cut at all — when unobserved).
         horizon = min(engine._next_arrival_time,
                       engine._next_epoch_time,
                       engine._next_interval_time,
-                      engine._next_telemetry_time,
-                      engine._next_digest_time)
+                      engine._next_probe_time)
         for other_bus, fifo in enumerate(engine._bus_fifo):
             if other_bus in own_buses or not fifo:
                 continue

@@ -36,6 +36,7 @@ from repro.memory.chip import ChipRates, FluidChip
 from repro.memory.system import MemorySystem
 from repro.obs.events import TRACK_SIM
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import attach as attach_probe
 from repro.obs.tracer import active_tracer
 from repro.sim.engine import EventKind, EventQueue
 from repro.sim.results import SimulationResult
@@ -75,15 +76,12 @@ class FluidEngine:
             tracer is normalised away so the hot paths pay a single
             ``is not None`` check.
         telemetry: optional
-            :class:`~repro.obs.telemetry.TelemetrySampler`; when given,
-            the run schedules read-only TELEMETRY events at the
-            sampler's cadence. Sampling never touches chip accrual, so
-            a telemetry-enabled run stays bit-identical in energy.
-        digests: optional :class:`~repro.obs.diff.DigestRecorder`; when
-            given, the run schedules read-only DIGEST events at the
-            recorder's epoch cadence and folds the observable state into
-            a rolling hash chain. Same bit-identity discipline as
-            telemetry.
+            :class:`~repro.obs.telemetry.TelemetrySampler`.
+        digests: optional :class:`~repro.obs.diff.DigestRecorder`.
+            When either is given, one :class:`~repro.obs.probe.EpochProbe`
+            feeds both from read-only PROBE events at their shared
+            cadence. The probe never touches chip accrual, so an
+            observed run stays bit-identical in energy.
     """
 
     def __init__(self, trace: Trace, config: SimulationConfig,
@@ -187,12 +185,7 @@ class FluidEngine:
             memory_config.page_bytes / model.bytes_per_cycle)
         self._total_pages = memory_config.total_pages
 
-        self.telemetry = telemetry
-        if telemetry is not None:
-            telemetry.bind(self)
-        self.digests = digests
-        if digests is not None:
-            digests.bind(self)
+        self.probe = attach_probe(self, telemetry, digests)
 
     # ------------------------------------------------------------------
     # Global request-arrival accounting (slack credits)
@@ -236,24 +229,16 @@ class FluidEngine:
         if self._pl_enabled:
             self.queue.push(
                 self.config.layout.interval_cycles, EventKind.INTERVAL, None)
-        if self.telemetry is not None:
-            self.queue.push(self.telemetry.sample_cycles,
-                            EventKind.TELEMETRY, None)
-        if self.digests is not None:
-            self.queue.push(self.digests.sample_cycles,
-                            EventKind.DIGEST, None)
+        if self.probe is not None:
+            self.queue.push(self.probe.period, EventKind.PROBE, None)
 
         while self.queue:
             now, kind, payload = self.queue.pop()
-            if kind is EventKind.TELEMETRY:
-                # Read-only snapshot: no drain, no progress update — a
-                # telemetry-enabled run must replay the disabled run's
-                # event sequence exactly.
-                self._on_telemetry(now)
-                continue
-            if kind is EventKind.DIGEST:
-                # Same read-only discipline as TELEMETRY.
-                self._on_digest(now)
+            if kind is EventKind.PROBE:
+                # Read-only snapshot: no drain, no progress update — an
+                # observed run must replay the unobserved run's event
+                # sequence exactly.
+                self._on_probe(now)
                 continue
             if kind is EventKind.ARRIVAL:
                 self._on_arrival(payload, now)
@@ -271,10 +256,8 @@ class FluidEngine:
 
         end = max(self._last_progress, self.trace.duration_cycles)
         self.memory.advance_all(end)
-        if self.telemetry is not None:
-            self.telemetry.sample(end, final=True)
-        if self.digests is not None:
-            self.digests.sample(end, final=True)
+        if self.probe is not None:
+            self.probe.sample(end, final=True)
         return self._build_result(end)
 
     def _work_remaining(self) -> bool:
@@ -420,17 +403,10 @@ class FluidEngine:
         if epoch:
             self.queue.push(now + epoch, EventKind.EPOCH, None)
 
-    def _on_telemetry(self, now: float) -> None:
-        self.telemetry.sample(now)
+    def _on_probe(self, now: float) -> None:
+        self.probe.sample(now)
         if self._work_remaining():
-            self.queue.push(now + self.telemetry.sample_cycles,
-                            EventKind.TELEMETRY, None)
-
-    def _on_digest(self, now: float) -> None:
-        self.digests.sample(now)
-        if self._work_remaining():
-            self.queue.push(now + self.digests.sample_cycles,
-                            EventKind.DIGEST, None)
+            self.queue.push(now + self.probe.period, EventKind.PROBE, None)
 
     def _on_interval(self, now: float) -> None:
         if self._records_done and not self._active:

@@ -32,6 +32,7 @@ from repro.io.devices import BusAssigner
 from repro.memory.address import MutableLayout, PageLayout, RandomLayout
 from repro.obs.events import TRACK_SIM, bus_track, chip_track
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import attach as attach_probe
 from repro.obs.tracer import active_tracer
 from repro.sim.engine import EventQueue
 from repro.sim.results import SimulationResult
@@ -49,12 +50,10 @@ _EV_CHIP_READY = 4
 _EV_DESCENT = 5
 _EV_EPOCH = 6
 _EV_INTERVAL = 7
-# Highest kinds: a telemetry sample / state digest pops last at equal
-# timestamps, so it observes the post-everything state of its instant.
-# Handled inline in the run loop (read-only, never in _HANDLERS, never
-# extends the run). DIGEST pops after TELEMETRY.
-_EV_TELEMETRY = 8
-_EV_DIGEST = 9
+# Highest kind: the epoch probe pops last at equal timestamps, so it
+# observes the settled state of its instant. Handled inline in the run
+# loop (read-only, never in _HANDLERS, never extends the run).
+_EV_PROBE = 8
 
 # Request priority classes (lower value served first).
 _PRIO_PROC = 0
@@ -236,9 +235,8 @@ class _PChip:
         Strictly read-only: the pending ``now - _last`` span is
         classified exactly as :meth:`touch` will classify it, but
         nothing is accrued — splitting an accrual at an observation
-        point would change float rounding, and telemetry-enabled runs
-        must stay bit-identical in energy. Used by the live-telemetry
-        sampler only.
+        point would change float rounding, and observed runs must stay
+        bit-identical in energy. Used by the epoch probe only.
         """
         buckets = self.time.as_dict()
         buckets.pop("total", None)
@@ -458,8 +456,7 @@ class PreciseEngine:
                                    else math.inf)
         self._next_epoch_time = math.inf
         self._next_interval_time = math.inf
-        self._next_telemetry_time = math.inf
-        self._next_digest_time = math.inf
+        self._next_probe_time = math.inf
         if vectorize:
             from repro.sim.array_timeline import ArrayTimelineKernel
 
@@ -480,12 +477,7 @@ class PreciseEngine:
         self._dma_service_hist = self.registry.histogram(
             "dma.service_per_request")
 
-        self.telemetry = telemetry
-        if telemetry is not None:
-            telemetry.bind(self)
-        self.digests = digests
-        if digests is not None:
-            digests.bind(self)
+        self.probe = attach_probe(self, telemetry, digests)
 
     def _arrived_requests(self) -> float:
         return float(self.arrived_requests)
@@ -516,26 +508,20 @@ class PreciseEngine:
             self.queue.push(self.config.layout.interval_cycles,
                             _EV_INTERVAL, None)
             self._next_interval_time = self.config.layout.interval_cycles
-        if self.telemetry is not None:
-            self._next_telemetry_time = self.telemetry.sample_cycles
-            self.queue.push(self._next_telemetry_time, _EV_TELEMETRY, None)
-        if self.digests is not None:
-            self._next_digest_time = self.digests.sample_cycles
-            self.queue.push(self._next_digest_time, _EV_DIGEST, None)
+        if self.probe is not None:
+            self._next_probe_time = self.probe.period
+            self.queue.push(self._next_probe_time, _EV_PROBE, None)
 
         # ``progress`` tracks the last state-changing event only:
-        # a trailing telemetry sample must not stretch the simulated
-        # horizon (that would accrue extra idle energy and break the
-        # bit-identical-to-untelemetered guarantee). With telemetry
-        # disabled this equals queue.now exactly (heap pops in order).
+        # a trailing probe tick must not stretch the simulated horizon
+        # (that would accrue extra idle energy and break the
+        # bit-identical-to-unobserved guarantee). Unobserved, this
+        # equals queue.now exactly (heap pops in order).
         progress = 0.0
         while self.queue:
             now, kind, payload = self.queue.pop()
-            if kind == _EV_TELEMETRY:
-                self._on_telemetry(now)
-                continue
-            if kind == _EV_DIGEST:
-                self._on_digest(now)
+            if kind == _EV_PROBE:
+                self._on_probe(now)
                 continue
             progress = now
             handler = self._HANDLERS[int(kind)]
@@ -545,27 +531,17 @@ class PreciseEngine:
         end = max(progress, self.trace.duration_cycles)
         for chip in self.chips:
             chip.touch(end)
-        if self.telemetry is not None:
-            self.telemetry.sample(end, final=True)
-        if self.digests is not None:
-            self.digests.sample(end, final=True)
+        if self.probe is not None:
+            self.probe.sample(end, final=True)
         return self._build_result(end)
 
-    def _on_telemetry(self, now: float) -> None:
-        self.telemetry.sample(now)
+    def _on_probe(self, now: float) -> None:
+        self.probe.sample(now)
         if self._work_remaining():
-            self._next_telemetry_time = now + self.telemetry.sample_cycles
-            self.queue.push(self._next_telemetry_time, _EV_TELEMETRY, None)
+            self._next_probe_time = now + self.probe.period
+            self.queue.push(self._next_probe_time, _EV_PROBE, None)
         else:
-            self._next_telemetry_time = math.inf
-
-    def _on_digest(self, now: float) -> None:
-        self.digests.sample(now)
-        if self._work_remaining():
-            self._next_digest_time = now + self.digests.sample_cycles
-            self.queue.push(self._next_digest_time, _EV_DIGEST, None)
-        else:
-            self._next_digest_time = math.inf
+            self._next_probe_time = math.inf
 
     def _work_remaining(self) -> bool:
         return (not self._records_done or self._open_transfers > 0

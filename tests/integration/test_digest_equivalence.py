@@ -123,6 +123,31 @@ class TestChainDeterminism:
         assert remote["tip"] == local.chain_tip
 
 
+class TestPinnedChainTips:
+    """Chain tips recorded before the epoch probe replaced the
+    per-observer engine bindings: the chain format must not drift."""
+
+    def test_fluid_dma_ta_pl_on_oltp_st(self):
+        from repro.traces.oltp import oltp_storage_trace
+
+        spec = SimRunSpec(trace=oltp_storage_trace(duration_ms=1.0, seed=301),
+                          technique="dma-ta-pl", mu=2.0)
+        trail = spec.runner()(DigestConfig(epoch_cycles=EPOCH_CYCLES))
+        assert trail.chain_tip == "c11a86de67a4a9b3efb49b51fbea4d81"
+
+    def test_precise_dma_ta_on_synthetic_st(self, trace):
+        spec = SimRunSpec(trace=trace, technique="dma-ta", mu=2.0,
+                          engine="precise")
+        trail = spec.runner()(DigestConfig(epoch_cycles=EPOCH_CYCLES))
+        assert trail.chain_tip == "7e0c8266496ae8fa931e2520e4fb6a46"
+
+    def test_injected_skew(self, trace):
+        spec = SimRunSpec(trace=trace, technique="dma-ta", mu=2.0,
+                          inject_skew_epoch=7)
+        trail = spec.runner()(DigestConfig(epoch_cycles=EPOCH_CYCLES))
+        assert trail.chain_tip == "e4af3094ba8d962bc0d775b1980fbf3e"
+
+
 class TestSkewLocalisation:
     @pytest.mark.parametrize("epoch", [0, 7, 100])
     def test_injected_skew_diverges_at_exactly_that_epoch(self, trace,

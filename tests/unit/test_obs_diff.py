@@ -4,6 +4,7 @@ result deltas, and the DiffServer."""
 
 import json
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -90,32 +91,10 @@ class TestDigestStore:
 class TestRecorderMisuse:
     def test_bind_is_single_use(self):
         recorder = DigestRecorder(DigestConfig())
-
-        class FakeFluid:
-            class memory:
-                chips = ()
-            buses = ()
-            _served_requests = 0
-
-            class controller:
-                @staticmethod
-                def epoch_cycles():
-                    return 1000.0
-
-                @staticmethod
-                def pending_count():
-                    return 0
-
-            class config:
-                class buses:
-                    count = 0
-            head_delay_total = 0.0
-            extra_service_total = 0.0
-            migrations = 0
-
-        recorder.bind(FakeFluid())
+        probe = SimpleNamespace(label="fluid", period=1000.0, fields=())
+        recorder.bind(probe)
         with pytest.raises(DiffError):
-            recorder.bind(FakeFluid())
+            recorder.bind(probe)
 
 
 class TestTrailRoundTrip:

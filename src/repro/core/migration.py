@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.config import PopularityLayoutConfig
 from repro.core.layout import GroupPlan
 from repro.errors import LayoutError
@@ -164,25 +166,24 @@ class MigrationPlanner:
 
         These are the swap victims: a page sitting on a hot chip whose
         popularity does not earn it that spot can be exchanged with an
-        incoming hot page at the cost of two copies. The scan is one pass
-        over the group plan's page lists plus the chips' residents — the
-        planner never walks the full address space.
+        incoming hot page at the cost of two copies. Untracked pages
+        (never referenced) belong to the cold group, so they are ideal
+        victims. One vectorised pass over the layout's page table finds
+        them; each chip's victims are listed in ascending page order.
         """
-        pool: dict[int, list[int]] = {}
         hot_chips = plan.hot_chips
-        targets = {page: group for page, group in plan.page_group.items()}
-        for chip in hot_chips:
-            pool[chip] = []
+        pool: dict[int, list[int]] = {chip: [] for chip in hot_chips}
         if not hot_chips:
             return pool
-        # Any page on a hot chip that is not assigned to that chip's group
-        # is a victim. Untracked pages (never referenced) are ideal victims.
-        for page in range(layout.total_pages):
-            chip = layout.chip_of(page)
-            if chip not in pool:
-                continue
-            if targets.get(page, plan.groups[-1].index) != chip_group[chip]:
-                pool[chip].append(page)
+        chips = np.asarray(layout.placement())
+        targets = np.full(chips.size, plan.groups[-1].index)
+        page_group = plan.page_group
+        count = len(page_group)
+        targets[np.fromiter(page_group.keys(), np.intp, count)] = np.fromiter(
+            page_group.values(), np.intp, count)
+        misplaced = targets != np.asarray(chip_group)[chips]
+        for chip in pool:
+            pool[chip] = np.flatnonzero(misplaced & (chips == chip)).tolist()
         return pool
 
     def _move_page(

@@ -63,7 +63,6 @@ class TemporalAlignmentController(MemoryController):
                  arrived_requests: Callable[[], float],
                  tracer: "Tracer | None" = None,
                  registry: "MetricsRegistry | None" = None) -> None:
-        self._config = config
         self._arrived_served = arrived_requests
         self._tracer = tracer
         self._batch_hist = (registry.histogram("ta.batch_size")
@@ -76,7 +75,11 @@ class TemporalAlignmentController(MemoryController):
             release_fraction=config.alignment.slack_release_fraction,
             tracer=tracer,
         )
+        self._epoch_cycles = config.alignment.epoch_cycles
+        self._deadline_fraction = config.alignment.deadline_fraction
         self._pending: dict[int, list[FluidStream]] = defaultdict(list)
+        #: chip -> bus -> buffered heads, kept up to date on admit/pop.
+        self._pending_buses: dict[int, dict[int, int]] = {}
         self._pending_total = 0
         self._pending_requests = 0  # committed requests of buffered heads
 
@@ -104,13 +107,17 @@ class TemporalAlignmentController(MemoryController):
         """
         return self._arrived_served() + self._pending_requests
 
-    def _pending_by_bus(self, chip_id: int) -> dict[int, int]:
-        counts: dict[int, int] = defaultdict(int)
-        for stream in self._pending.get(chip_id, ()):
-            counts[stream.bus_id if stream.bus_id is not None else -1] += 1
-        return dict(counts)
+    def _budget(self) -> tuple[float, float]:
+        """``(arrived requests, shared slack per buffered head)``.
+
+        Both change only when buffered heads leave (:meth:`_pop_pending`),
+        so an epoch computes them once and again after each release.
+        """
+        arrived = self._arrived()
+        return arrived, self.slack.slack(arrived) / (self._pending_total + 1)
 
     def _pop_pending(self, chip_id: int) -> list[FluidStream]:
+        self._pending_buses.pop(chip_id, None)
         streams = self._pending.pop(chip_id, [])
         self._pending_total -= len(streams)
         self._pending_requests -= sum(
@@ -139,7 +146,7 @@ class TemporalAlignmentController(MemoryController):
                      "reason": reason,
                      "waited": now - getattr(stream, "arrival_time", now)})
 
-    def _allowance(self, stream, now: float) -> float:
+    def _allowance(self, stream, credit: float, shared: float) -> float:
         """How long a buffered transfer may currently wait.
 
         At least its own slack budget (``deadline_fraction * mu * T *
@@ -149,17 +156,12 @@ class TemporalAlignmentController(MemoryController):
         undelayed fund longer waits for the few that are gathering, which
         is exactly how the paper's single shared slack account behaves.
         The per-transfer floor keeps releases spread in time, so release
-        storms (which would flood the buses) cannot form.
+        storms (which would flood the buses) cannot form. ``credit`` is
+        :meth:`SlackAccount.credit_per_request` and ``shared`` the second
+        half of :meth:`_budget`.
         """
-        fraction = self._config.alignment.deadline_fraction
         requests = getattr(stream, "num_requests", 0) or 1
-        own = self.slack.credit_per_request() * requests
-        shared = self.slack.slack(self._arrived()) / (self._pending_total + 1)
-        return fraction * max(own, shared)
-
-    def _deadline_due(self, chip_id: int, now: float) -> bool:
-        return any(now - s.arrival_time >= self._allowance(s, now)
-                   for s in self._pending.get(chip_id, ()))
+        return self._deadline_fraction * max(credit * requests, shared)
 
     # ------------------------------------------------------------------
     # MemoryController interface
@@ -179,12 +181,14 @@ class TemporalAlignmentController(MemoryController):
                 self._record_release(chip_id, released, "chip-active", now)
             return released
 
-        if self.slack.credit_per_request() <= 0.0:
+        credit = self.slack.credit_per_request()
+        if credit <= 0.0:
             # mu == 0: no budget to delay anything.
             self.transfers_passed_through += 1
             return [stream]
 
-        if self._allowance(stream, now) < 2 * self._config.alignment.epoch_cycles:
+        if (self._allowance(stream, credit, self._budget()[1])
+                < 2 * self._epoch_cycles):
             # The transfer's waiting budget is too small for the epoch-
             # granularity release machinery to respect; delaying it would
             # risk the guarantee for no realistic gathering win.
@@ -192,6 +196,9 @@ class TemporalAlignmentController(MemoryController):
             return [stream]
 
         self._pending[chip_id].append(stream)
+        by_bus = self._pending_buses.setdefault(chip_id, {})
+        bus = stream.bus_id if stream.bus_id is not None else -1
+        by_bus[bus] = by_bus.get(bus, 0) + 1
         self._pending_total += 1
         self._pending_requests += getattr(stream, "num_requests", 0) or 1
         self.transfers_buffered += 1
@@ -204,7 +211,6 @@ class TemporalAlignmentController(MemoryController):
                                                       0) or 1,
                                   "pending": self._pending_total})
 
-        by_bus = self._pending_by_bus(chip_id)
         if len(by_bus) >= self.slack.saturating_buses:
             self.releases_by_gather += 1
             batch = self._pop_pending(chip_id)
@@ -218,25 +224,29 @@ class TemporalAlignmentController(MemoryController):
         return []
 
     def epoch_cycles(self) -> float | None:
-        return self._config.alignment.epoch_cycles
+        return self._epoch_cycles
 
     def on_epoch(self, now: float) -> dict[int, list[FluidStream]]:
-        self.slack.charge_epoch(
-            self._config.alignment.epoch_cycles, self._pending_total, now)
+        self.slack.charge_epoch(self._epoch_cycles, self._pending_total, now)
         releases: dict[int, list[FluidStream]] = {}
+        if not self._pending:
+            return releases
+        credit = self.slack.credit_per_request()
+        arrived, shared = self._budget()
         for chip_id in list(self._pending):
-            if self._deadline_due(chip_id, now):
+            if any(now - s.arrival_time >= self._allowance(s, credit, shared)
+                   for s in self._pending[chip_id]):
+                reason = "deadline"
                 self.releases_by_deadline += 1
-                releases[chip_id] = self._pop_pending(chip_id)
-                self._record_release(chip_id, releases[chip_id],
-                                     "deadline", now)
-                continue
-            by_bus = self._pending_by_bus(chip_id)
-            if self.slack.should_release(by_bus, self._arrived(), now):
+            elif self.slack.should_release(self._pending_buses[chip_id],
+                                           arrived, now):
+                reason = "slack"
                 self.releases_by_slack += 1
-                releases[chip_id] = self._pop_pending(chip_id)
-                self._record_release(chip_id, releases[chip_id],
-                                     "slack", now)
+            else:
+                continue
+            releases[chip_id] = self._pop_pending(chip_id)
+            self._record_release(chip_id, releases[chip_id], reason, now)
+            arrived, shared = self._budget()
         return releases
 
     def on_wake(self, chip_id: int, wake_latency: float, now: float,

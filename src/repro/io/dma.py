@@ -70,9 +70,11 @@ class FluidStream:
     #: DMA-memory requests this stream stands for (0 for PROC/MIGRATION);
     #: used by DMA-TA to size the stream's per-transfer slack budget.
     num_requests: int = 0
-    #: Engine-assigned per-run transfer ordinal (deterministic, unlike
-    #: ``stream_id``); keys the audit layer's per-transfer waterfall.
+    #: Engine-assigned per-run transfer ordinal; keys the audit layer's
+    #: per-transfer waterfall.
     seq: int = 0
+    #: Hash and equality key. The engine numbers its streams per run; the
+    #: module-wide default only serves streams built outside an engine.
     stream_id: int = field(default_factory=lambda: next(_stream_ids))
 
     # Dynamics (engine-managed).

@@ -18,7 +18,9 @@ knob the PL technique turns. Static layouts here serve as baselines:
 from __future__ import annotations
 
 import abc
+import functools
 import random
+from collections.abc import Sequence
 
 from repro.errors import LayoutError
 
@@ -31,14 +33,18 @@ class PageLayout(abc.ABC):
             raise LayoutError("layout dimensions must be positive")
         self.num_chips = num_chips
         self.pages_per_chip = pages_per_chip
-
-    @property
-    def total_pages(self) -> int:
-        return self.num_chips * self.pages_per_chip
+        self.total_pages = num_chips * pages_per_chip
 
     @abc.abstractmethod
     def chip_of(self, page: int) -> int:
         """The chip holding logical ``page``."""
+
+    def placement(self) -> Sequence[int]:
+        """The chip of every page, indexed by page number.
+
+        Read-only: a layout may hand out its own table rather than a copy.
+        """
+        return [self.chip_of(page) for page in range(self.total_pages)]
 
     def _check(self, page: int) -> None:
         if not 0 <= page < self.total_pages:
@@ -62,6 +68,21 @@ class InterleavedLayout(PageLayout):
         return page % self.num_chips
 
 
+@functools.lru_cache(maxsize=16)
+def _random_placement(num_chips: int, pages_per_chip: int,
+                      seed: int) -> tuple[int, ...]:
+    """The shuffled page-to-chip table of one :class:`RandomLayout`.
+
+    Memoised: every run of a sweep builds the same base layout, and the
+    shuffle is the costly part. A tuple, so no layout can edit the
+    shared copy.
+    """
+    chips = [page // pages_per_chip
+             for page in range(num_chips * pages_per_chip)]
+    random.Random(seed).shuffle(chips)
+    return tuple(chips)
+
+
 class RandomLayout(PageLayout):
     """A random permutation of pages onto chips (capacity-respecting).
 
@@ -70,14 +91,14 @@ class RandomLayout(PageLayout):
 
     def __init__(self, num_chips: int, pages_per_chip: int, seed: int = 0) -> None:
         super().__init__(num_chips, pages_per_chip)
-        rng = random.Random(seed)
-        chips = [page // pages_per_chip for page in range(self.total_pages)]
-        rng.shuffle(chips)
-        self._chips = chips
+        self._chips = _random_placement(num_chips, pages_per_chip, seed)
 
     def chip_of(self, page: int) -> int:
         self._check(page)
         return self._chips[page]
+
+    def placement(self) -> Sequence[int]:
+        return self._chips
 
 
 class MutableLayout(PageLayout):
@@ -90,14 +111,20 @@ class MutableLayout(PageLayout):
 
     def __init__(self, base: PageLayout) -> None:
         super().__init__(base.num_chips, base.pages_per_chip)
-        self._chips = [base.chip_of(page) for page in range(base.total_pages)]
+        self._chips = list(base.placement())
         self._occupancy = [0] * self.num_chips
         for chip in self._chips:
             self._occupancy[chip] += 1
 
     def chip_of(self, page: int) -> int:
-        self._check(page)
+        # The hottest lookup of a PL run: the bounds test is inlined and
+        # only the failure path pays for the call.
+        if not 0 <= page < self.total_pages:
+            self._check(page)
         return self._chips[page]
+
+    def placement(self) -> Sequence[int]:
+        return self._chips
 
     def occupancy(self, chip: int) -> int:
         """Number of pages currently resident on ``chip``."""

@@ -12,6 +12,7 @@ cross-validates it against :class:`~repro.sim.precise.PreciseEngine`.
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 
 from repro.config import SimulationConfig
@@ -149,6 +150,10 @@ class FluidEngine:
 
         # Runtime state.
         self.queue = EventQueue()
+        #: Per-run stream numbering: streams hash by id and the sets below
+        #: are walked in hash order, so numbering shared across runs would
+        #: let earlier runs in the process change this run's floats.
+        self._stream_ids = itertools.count()
         self._streams_at: dict[int, set[FluidStream]] = defaultdict(set)
         self._active: set[FluidStream] = set()
         self._records_done = not trace.records
@@ -177,6 +182,10 @@ class FluidEngine:
         self._opportunistic = config.layout.opportunistic_copies
         self._dma_service_hist = self.registry.histogram(
             "dma.service_per_request")
+        self._epoch = self.controller.epoch_cycles()
+        #: Bound on the first handled epoch, so a run that handles none
+        #: reports no ``sim.epochs`` counter.
+        self._epochs_counter = None
 
         # Cached geometry.
         self._serve_cycles = config.serve_cycles
@@ -223,9 +232,8 @@ class FluidEngine:
             })
         if self.trace.records:
             self.queue.push(self.trace.records[0].time, EventKind.ARRIVAL, 0)
-        epoch = self.controller.epoch_cycles()
-        if epoch:
-            self.queue.push(epoch, EventKind.EPOCH, None)
+        if self._epoch:
+            self.queue.push(self._epoch, EventKind.EPOCH, None)
         if self._pl_enabled:
             self.queue.push(
                 self.config.layout.interval_cycles, EventKind.INTERVAL, None)
@@ -321,6 +329,7 @@ class FluidEngine:
             release_time=now,
             num_requests=n_req,
             seq=self.transfers,
+            stream_id=next(self._stream_ids),
         )
         if self.tracer is not None:
             self.tracer.instant(now, "dma.arrive", TRACK_SIM,
@@ -355,6 +364,7 @@ class FluidEngine:
             record=record,
             arrival_time=now,
             release_time=now,
+            stream_id=next(self._stream_ids),
         )
         # Buffered DMA heads stay buffered: the chip wakes only for the
         # burst and returns to gathering afterwards. The slack account is
@@ -390,7 +400,9 @@ class FluidEngine:
     def _on_epoch(self, now: float) -> None:
         if not self._work_remaining():
             return
-        self.registry.counter("sim.epochs").inc()
+        if self._epochs_counter is None:
+            self._epochs_counter = self.registry.counter("sim.epochs")
+        self._epochs_counter.inc()
         if self.tracer is not None:
             self.tracer.counter(now, "pending_heads", TRACK_SIM,
                                 float(self.controller.pending_count()))
@@ -399,9 +411,7 @@ class FluidEngine:
         for chip_id, streams in self.controller.on_epoch(now).items():
             self._release(self.memory.chips[chip_id], streams, now,
                           notify=True)
-        epoch = self.controller.epoch_cycles()
-        if epoch:
-            self.queue.push(now + epoch, EventKind.EPOCH, None)
+        self.queue.push(now + self._epoch, EventKind.EPOCH, None)
 
     def _on_probe(self, now: float) -> None:
         self.probe.sample(now)
@@ -435,6 +445,7 @@ class FluidEngine:
                     demand=1.0,
                     arrival_time=now,
                     release_time=now,
+                    stream_id=next(self._stream_ids),
                 )
                 if self._opportunistic:
                     # Section 4.2.2: copies piggyback on cycles the chip

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import PopularityLayoutConfig
-from repro.core.layout import PopularityGrouper, hot_group_sizes
+from repro.core.layout import Group, GroupPlan, PopularityGrouper, hot_group_sizes
 from repro.core.migration import MigrationPlanner
 from repro.core.popularity import PopularityTracker
 from repro.memory.address import MutableLayout, RandomLayout
@@ -98,3 +98,55 @@ def test_tracker_counts_bounded(events):
     tracker.age()
     for page, count in tracker.ranked_pages():
         assert count == before[page] >> 1
+
+
+def scanned_swap_pool(plan, layout, chip_group):
+    """The swap pool as a plain per-page scan: every page on a hot chip
+    whose target group (cold if untracked) is not its chip's group."""
+    pool = {chip: [] for chip in plan.hot_chips}
+    cold = plan.groups[-1].index
+    for page in range(layout.total_pages):
+        chip = layout.chip_of(page)
+        if chip in pool and plan.page_group.get(page, cold) != chip_group[chip]:
+            pool[chip].append(page)
+    return pool
+
+
+@st.composite
+def layouts_and_plans(draw):
+    num_chips = draw(st.integers(min_value=2, max_value=6))
+    pages_per_chip = draw(st.integers(min_value=1, max_value=12))
+    total = num_chips * pages_per_chip
+    layout = MutableLayout(RandomLayout(num_chips, pages_per_chip,
+                                        seed=draw(st.integers(0, 99))))
+    for page_a, page_b in draw(st.lists(
+            st.tuples(st.integers(0, total - 1), st.integers(0, total - 1)),
+            max_size=10)):
+        layout.swap(page_a, page_b)
+    # Chips in a random order: the first n_hot split into one or two hot
+    # groups (none when n_hot is 0), the rest form the cold group.
+    order = draw(st.permutations(range(num_chips)))
+    n_hot = draw(st.integers(min_value=0, max_value=num_chips - 1))
+    split = draw(st.integers(min_value=1, max_value=max(1, n_hot)))
+    hot_parts = [part for part in (order[:split], order[split:n_hot]) if part]
+    groups = [Group(index=i, chips=tuple(part), pages=())
+              for i, part in enumerate(hot_parts)]
+    groups.append(Group(index=len(groups), chips=tuple(order[n_hot:]),
+                        pages=(), is_cold=True))
+    page_group = draw(st.dictionaries(
+        st.integers(0, total - 1), st.integers(0, len(groups) - 1),
+        max_size=total))
+    return layout, GroupPlan(groups=groups, page_group=page_group)
+
+
+@given(layouts_and_plans())
+@settings(max_examples=150, deadline=None)
+def test_swap_pool_matches_a_per_page_scan(case):
+    layout, plan = case
+    chip_group = MigrationPlanner._chip_groups(plan, layout.num_chips)
+    pool = MigrationPlanner._build_swap_pool(plan, layout, chip_group)
+    # Same chips in the same order, same victims in the same order.
+    assert list(pool.items()) == list(
+        scanned_swap_pool(plan, layout, chip_group).items())
+    assert all(type(page) is int for victims in pool.values()
+               for page in victims)

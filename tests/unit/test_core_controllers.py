@@ -148,3 +148,33 @@ class TestTemporalAlignment:
         for key in ("transfers_buffered", "releases_by_gather",
                     "releases_by_deadline", "slack_charges"):
             assert key in stats
+
+
+class TestPinnedEpochDecisions:
+    """DMA-TA decisions on a short OLTP-St trace, recorded before the
+    epoch path computed its shared values once per epoch. Every release
+    trigger, the total charge and the violation count must stay put."""
+
+    #: CP-Limit -> (gather, slack, deadline, drain releases,
+    #: slack_charges, slack.violations).
+    PINNED = {
+        0.02: (0, 203, 1, 0, 1954800.0, 203),
+        0.10: (3, 1, 176, 1, 8609600.0, 1),
+        0.30: (9, 1, 136, 1, 25158800.0, 1),
+    }
+
+    def test_counters_match_pins(self):
+        from repro.analysis.sweep import sweep_cp_limit
+        from repro.traces.oltp import oltp_storage_trace
+
+        trace = oltp_storage_trace(duration_ms=5.0, seed=1)
+        points = sweep_cp_limit(trace, sorted(self.PINNED), ["dma-ta"])
+        observed = {}
+        for point in points:
+            stats = point.result.controller_stats
+            observed[point.x] = (
+                stats["releases_by_gather"], stats["releases_by_slack"],
+                stats["releases_by_deadline"], stats["releases_by_drain"],
+                stats["slack_charges"],
+                point.result.metrics.counters["slack.violations"])
+        assert observed == self.PINNED

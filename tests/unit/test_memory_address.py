@@ -1,5 +1,7 @@
 """Units for page layouts."""
 
+import random
+
 import pytest
 
 from repro.errors import LayoutError
@@ -53,6 +55,22 @@ class TestRandom:
             counts[layout.chip_of(page)] += 1
         assert counts == [8, 8, 8, 8]
 
+    @pytest.mark.parametrize("num_chips,pages_per_chip,seed",
+                             [(4, 8, 0), (8, 64, 7), (32, 4096, 0)])
+    def test_matches_a_fresh_shuffle(self, num_chips, pages_per_chip, seed):
+        expected = [page // pages_per_chip
+                    for page in range(num_chips * pages_per_chip)]
+        random.Random(seed).shuffle(expected)
+        layout = RandomLayout(num_chips, pages_per_chip, seed=seed)
+        assert list(layout.placement()) == expected
+        assert [layout.chip_of(p) for p in range(len(expected))] == expected
+
+    def test_layouts_of_one_seed_share_an_immutable_table(self):
+        a = RandomLayout(8, 64, seed=5)
+        b = RandomLayout(8, 64, seed=5)
+        assert a.placement() is b.placement()
+        assert isinstance(a.placement(), tuple)
+
 
 class TestMutable:
     @pytest.fixture
@@ -88,6 +106,31 @@ class TestMutable:
     def test_move_out_of_range_chip(self, layout):
         with pytest.raises(LayoutError):
             layout.move(0, 9)
+
+    def test_edits_leave_the_shared_base_untouched(self):
+        base = RandomLayout(4, 8, seed=3)
+        original = list(base.placement())
+        layout = MutableLayout(base)
+        other = next(p for p in range(32) if original[p] != original[0])
+        layout.swap(0, other)
+        assert layout.move(5, original[5]) == original[5]
+        assert layout.chip_of(0) == original[other]
+        assert list(base.placement()) == original
+        assert list(RandomLayout(4, 8, seed=3).placement()) == original
+        assert list(MutableLayout(base).placement()) == original
+
+    def test_copies_any_base(self):
+        for base in (SequentialLayout(4, 8), InterleavedLayout(4, 8),
+                     RandomLayout(4, 8, seed=1)):
+            layout = MutableLayout(base)
+            assert [layout.chip_of(p) for p in range(32)] == \
+                   [base.chip_of(p) for p in range(32)]
+            assert [layout.occupancy(c) for c in range(4)] == [8] * 4
+
+    def test_chip_of_out_of_range(self, layout):
+        for page in (-1, 32):
+            with pytest.raises(LayoutError):
+                layout.chip_of(page)
 
     def test_occupancy_out_of_range(self, layout):
         with pytest.raises(LayoutError):

@@ -19,7 +19,7 @@ out of the accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from repro.errors import SimulationError
 
@@ -28,8 +28,8 @@ _REL_TOL = 1e-9
 
 
 @dataclass
-class EnergyBreakdown:
-    """Per-category energy (joules). Mutable accumulator."""
+class _Buckets:
+    """The seven buckets both breakdowns share. Mutable accumulator."""
 
     serving_dma: float = 0.0
     serving_proc: float = 0.0
@@ -39,26 +39,59 @@ class EnergyBreakdown:
     low_power: float = 0.0
     migration: float = 0.0
 
-    @property
-    def serving(self) -> float:
-        """Total active-serving energy (DMA plus processor)."""
-        return self.serving_dma + self.serving_proc
+    #: What the buckets hold, for error messages.
+    _quantity = "bucket"
+
+    def as_list(self) -> list[float]:
+        """The buckets in field order (:data:`BUCKETS`)."""
+        return [self.serving_dma, self.serving_proc, self.idle_dma,
+                self.idle_threshold, self.transition, self.low_power,
+                self.migration]
 
     @property
     def total(self) -> float:
-        """Sum of all buckets."""
-        return sum(getattr(self, f.name) for f in fields(self))
+        """Sum of all buckets, in field order."""
+        return sum(self.as_list())
 
-    def add(self, other: "EnergyBreakdown") -> None:
+    def add(self, other: _Buckets) -> None:
         """Accumulate ``other`` into this breakdown in place."""
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
-    def __add__(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
-        result = EnergyBreakdown()
+    def __add__(self, other):
+        result = type(self)()
         result.add(self)
         result.add(other)
         return result
+
+    def validate(self) -> None:
+        """Raise :class:`SimulationError` if any bucket is negative."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < -_REL_TOL * max(1.0, abs(self.total)):
+                raise SimulationError(
+                    f"negative {self._quantity} bucket {f.name}={value!r}")
+
+    def as_dict(self) -> dict[str, float]:
+        """Plain-dict view (bucket name -> value), including the total."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["total"] = self.total
+        return out
+
+    def copy(self):
+        return type(self)(*self.as_list())
+
+
+@dataclass
+class EnergyBreakdown(_Buckets):
+    """Per-category energy (joules). Mutable accumulator."""
+
+    _quantity = "energy"
+
+    @property
+    def serving(self) -> float:
+        """Total active-serving energy (DMA plus processor)."""
+        return self.serving_dma + self.serving_proc
 
     def fractions(self) -> dict[str, float]:
         """Each bucket as a fraction of the total (empty dict if total is 0)."""
@@ -67,26 +100,9 @@ class EnergyBreakdown:
             return {}
         return {f.name: getattr(self, f.name) / total for f in fields(self)}
 
-    def validate(self) -> None:
-        """Raise :class:`SimulationError` if any bucket is negative."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value < -_REL_TOL * max(1.0, abs(self.total)):
-                raise SimulationError(
-                    f"negative energy bucket {f.name}={value!r}")
-
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view (bucket name -> joules), including the total."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["total"] = self.total
-        return out
-
-    def copy(self) -> "EnergyBreakdown":
-        return EnergyBreakdown(**{f.name: getattr(self, f.name) for f in fields(self)})
-
 
 @dataclass
-class TimeBreakdown:
+class TimeBreakdown(_Buckets):
     """Per-category chip time (memory cycles). Mutable accumulator.
 
     ``active_dma_total`` is the paper's ``T_tot``: cycles during which some
@@ -94,32 +110,12 @@ class TimeBreakdown:
     is ``T_useful``. Their ratio is the utilization factor.
     """
 
-    serving_dma: float = 0.0
-    serving_proc: float = 0.0
-    idle_dma: float = 0.0
-    idle_threshold: float = 0.0
-    transition: float = 0.0
-    low_power: float = 0.0
-    migration: float = 0.0
+    _quantity = "time"
 
     @property
     def active_dma_total(self) -> float:
         """T_tot of Section 5.3: transfer-in-progress active cycles."""
         return self.serving_dma + self.idle_dma
-
-    @property
-    def total(self) -> float:
-        return sum(getattr(self, f.name) for f in fields(self))
-
-    def add(self, other: "TimeBreakdown") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    def __add__(self, other: "TimeBreakdown") -> "TimeBreakdown":
-        result = TimeBreakdown()
-        result.add(self)
-        result.add(other)
-        return result
 
     def utilization_factor(self) -> float:
         """``uf = T_useful / T_tot`` (Section 5.3); 0.0 when no DMA ran.
@@ -134,16 +130,11 @@ class TimeBreakdown:
             return 0.0
         return (self.serving_dma + self.serving_proc) / t_tot
 
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value < -_REL_TOL * max(1.0, abs(self.total)):
-                raise SimulationError(f"negative time bucket {f.name}={value!r}")
 
-    def as_dict(self) -> dict[str, float]:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["total"] = self.total
-        return out
+#: Bucket names in field order, shared by both breakdowns: the order
+#: ``total`` sums in and the order of the residency list a chip's
+#: ``observe`` returns.
+BUCKETS = tuple(f.name for f in fields(TimeBreakdown))
 
-    def copy(self) -> "TimeBreakdown":
-        return TimeBreakdown(**{f.name: getattr(self, f.name) for f in fields(self)})
+#: Position of each bucket in :data:`BUCKETS`.
+BUCKET_SLOT = {name: slot for slot, name in enumerate(BUCKETS)}

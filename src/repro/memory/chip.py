@@ -26,7 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.energy.accounting import EnergyBreakdown, TimeBreakdown
+from repro.energy.accounting import (BUCKET_SLOT, EnergyBreakdown,
+                                     TimeBreakdown)
 from repro.energy.policies import PowerPolicy
 from repro.energy.states import PowerModel, PowerState
 from repro.errors import SimulationError
@@ -111,6 +112,13 @@ class FluidChip:
             self._idle_since = -self._profile[-1].start
         else:
             self._idle_since = 0.0
+        # Idle-read prefix of :meth:`_observe_idle`: residency buckets
+        # plus every profile segment before ``_prefix_next``, valid while
+        # the clock and idle anchor equal the recorded pair.
+        self._prefix: list[float] = []
+        self._prefix_next = 0
+        self._prefix_time = math.nan
+        self._prefix_idle_since = math.nan
 
     # ------------------------------------------------------------------
     # Idle descent profile
@@ -282,22 +290,24 @@ class FluidChip:
             if segment.end >= offset_end:
                 break
 
-    def observe(self, now: float) -> tuple[dict[str, float], float]:
+    def observe(self, now: float) -> tuple[list[float], float]:
         """Residency-to-date buckets and instantaneous power at ``now``.
 
-        Strictly read-only: the pending ``now - _time`` span is
-        classified exactly as :meth:`advance` will classify it, but
-        nothing is accrued — splitting an accrual at an observation
-        point would change float rounding, and observed runs must stay
-        bit-identical in energy. Used by the epoch probe only.
+        The buckets come as a list laid out like
+        :meth:`TimeBreakdown.as_list`. Strictly read-only: the
+        pending ``now - _time`` span is classified exactly as
+        :meth:`advance` will classify it, but nothing is accrued —
+        splitting an accrual at an observation point would change float
+        rounding, and observed runs must stay bit-identical in energy.
+        Used by the epoch probe only.
         """
-        buckets = self.time.as_dict()
-        buckets.pop("total", None)
+        t = self.time
         if now <= self._time:
             # Inside a wake window (or exactly at the chip's clock): the
             # whole transition was charged up front by wake(), so
             # nothing is pending. Report the serving-side power the
             # chip is heading for.
+            buckets = t.as_list()
             if self._busy or now < self._time:
                 return buckets, self.model.active_power
             return buckets, self._segment_at(
@@ -306,28 +316,55 @@ class FluidChip:
         if self._busy:
             rates = self.rates
             idle_fraction = max(0.0, 1.0 - min(1.0, rates.busy_fraction))
-            buckets["serving_dma"] += delta * rates.dma
-            buckets["serving_proc"] += delta * rates.proc
-            buckets["migration"] += delta * rates.migration
+            buckets = [t.serving_dma + delta * rates.dma,
+                       t.serving_proc + delta * rates.proc,
+                       t.idle_dma, t.idle_threshold, t.transition,
+                       t.low_power, t.migration + delta * rates.migration]
             idle_bucket = ("idle_dma" if self._has_dma_stream
                            else "idle_threshold")
-            buckets[idle_bucket] += delta * idle_fraction
+            buckets[BUCKET_SLOT[idle_bucket]] += delta * idle_fraction
             return buckets, self.model.active_power
+        return self._observe_idle(now)
+
+    def _observe_idle(self, now: float) -> tuple[list[float], float]:
+        """:meth:`observe` for an idle chip with a pending span.
+
+        The segments already wholly inside ``[_time, now)`` are folded
+        into a per-chip prefix vector once, with the same ``+=`` in the
+        same order as a walk from segment 0 would make; each call then
+        adds only the current segment's partial span. The prefix is
+        keyed on ``(_time, _idle_since)``: every accrual moves
+        ``_time`` forward, so an unchanged key means unchanged buckets.
+        """
+        profile = self._profile
         offset_start = self._time - self._idle_since
         offset_end = now - self._idle_since
-        for segment in self._profile:
+        index = self._prefix_next
+        if (self._time != self._prefix_time
+                or self._idle_since != self._prefix_idle_since
+                or (index and profile[index - 1].end >= offset_end)):
+            self._prefix = self.time.as_list()
+            self._prefix_time = self._time
+            self._prefix_idle_since = self._idle_since
+            index = 0
+        prefix = self._prefix
+        # Fold newly completed segments (those ending before ``now``).
+        segment = profile[index]
+        while segment.end < offset_end:
             lo = max(segment.start, offset_start)
-            hi = min(segment.end, offset_end)
-            if hi <= lo:
-                continue
-            if segment.bucket == _SEG_ACTIVE_IDLE:
-                buckets["idle_threshold"] += hi - lo
-            elif segment.bucket == _SEG_TRANSITION:
-                buckets["transition"] += hi - lo
-            else:
-                buckets["low_power"] += hi - lo
-            if segment.end >= offset_end:
-                break
+            if segment.end > lo:
+                prefix[BUCKET_SLOT[segment.bucket]] += segment.end - lo
+            index += 1
+            segment = profile[index]
+        self._prefix_next = index
+        # ``segment`` holds ``now``: the walk adds its partial span and
+        # stops there (every later segment starts at or after ``now``).
+        buckets = prefix.copy()
+        lo = max(segment.start, offset_start)
+        if offset_end > lo:
+            buckets[BUCKET_SLOT[segment.bucket]] += offset_end - lo
+        if offset_end < segment.end:
+            return buckets, segment.power_watts
         return buckets, self._segment_at(offset_end).power_watts
 
     # ------------------------------------------------------------------

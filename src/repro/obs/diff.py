@@ -52,6 +52,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress, count
+from operator import is_not
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -290,6 +292,9 @@ class DigestRecorder:
         self.sample_cycles = 0.0
         self._chain = b""
         self._chain_hex = ""
+        # The previous tick's values and their reprs (see sample()).
+        self._last_values: tuple[float | None, ...] = ()
+        self._reprs: list[str] = []
 
     @property
     def requested_cycles(self) -> float | None:
@@ -305,6 +310,8 @@ class DigestRecorder:
         self.sample_cycles = probe.period
         self.fields = probe.fields
         self.store = DigestStore(capacity=self.config.capacity)
+        self._last_values = (None,) * len(self.fields)
+        self._reprs = [""] * len(self.fields)
 
     def sample(self, values: list[float]) -> None:
         """Fold one probe vector (laid out as :attr:`fields`) into the chain."""
@@ -321,8 +328,15 @@ class DigestRecorder:
 
         # repr() of a float is shortest-round-trip exact, so the payload
         # encodes the bit pattern: any ULP of state difference flips the
-        # chain from this epoch onward.
-        payload = "|".join(repr(v) for v in values).encode("ascii")
+        # chain from this epoch onward. A slot holding the very object it
+        # held last tick reuses that tick's repr; reuse is keyed on
+        # identity, never on ``==`` (0.0 == -0.0, but their reprs differ).
+        # Keeping the last values alive keeps their ids from being reused.
+        reprs = self._reprs
+        for i in compress(count(), map(is_not, values, self._last_values)):
+            reprs[i] = repr(values[i])
+        self._last_values = tuple(values)
+        payload = "|".join(reprs).encode("ascii")
         digest = hashlib.blake2b(self._chain + payload, digest_size=16)
         self._chain = digest.digest()
         self._chain_hex = digest.hexdigest()

@@ -11,10 +11,14 @@ state into one value vector (laid out as :attr:`EpochProbe.fields`):
   :data:`~repro.obs.export.RESIDENCY_BUCKETS` (one ``observe`` call);
 * per bus: busy indicator and queue depth.
 
-The vector (a list of Python floats) goes to each subscribed consumer's
-``sample(values)`` — :class:`~repro.obs.telemetry.TelemetrySampler`
-and :class:`~repro.obs.diff.DigestRecorder`. Consumers keep their own
-stores and fault injection and must not mutate the shared vector.
+The vector (a fresh list of Python floats each tick) goes to each
+subscribed consumer's ``sample(values)`` —
+:class:`~repro.obs.telemetry.TelemetrySampler` and
+:class:`~repro.obs.diff.DigestRecorder`. Consumers keep their own
+stores and fault injection and must not mutate the shared vector. A
+value that did not change since the last tick is usually the very same
+float object (``observe`` reads the chip's attributes as they are), so
+a consumer may reuse what it derived from an unchanged object.
 
 The probe never calls ``touch``/``advance`` on a chip, its event kind
 pops last at equal timestamps and never extends the run, and the
@@ -25,6 +29,7 @@ array-timeline kernel cuts its batching windows at the next probe time
 from __future__ import annotations
 
 import math
+from operator import is_
 
 from repro.errors import ConfigurationError
 from repro.obs.export import RESIDENCY_BUCKETS
@@ -92,6 +97,10 @@ class EpochProbe:
         self._read_bus = read_bus
         self.n_buses = engine.config.buses.count
         self.chip_ids = tuple(chip.chip_id for chip in self._chips)
+        # Per chip, the energy buckets and total of the last tick
+        # (``(None,)`` matches no bucket list, so the first tick sums).
+        self._energies = [(None,)] * len(self._chips)
+        self._totals = [0.0] * len(self._chips)
 
         fields = list(SCALAR_FIELDS)
         for chip_id in self.chip_ids:
@@ -123,12 +132,19 @@ class EpochProbe:
             float(engine.controller.pending_count()),
             float(engine.migrations),
         ]
-        for chip in self._chips:
+        energies, totals = self._energies, self._totals
+        for slot, chip in enumerate(self._chips):
             buckets, power = chip.observe(now)
-            values.append(float(chip.energy.total))
+            energy = chip.energy.as_list()
+            if not all(map(is_, energy, energies[slot])):
+                # Some bucket object changed: a new total, the same sum
+                # as ``energy.total``. Otherwise the last total object
+                # goes out again, so consumers see an unchanged object.
+                energies[slot] = energy
+                totals[slot] = sum(energy)
+            values.append(totals[slot])
             values.append(float(power))
-            values.extend(float(buckets[bucket])
-                          for bucket in RESIDENCY_BUCKETS)
+            values.extend(buckets)
         for bus_id in range(self.n_buses):
             values.extend(self._read_bus(bus_id))
         for consumer in self.consumers:

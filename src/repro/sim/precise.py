@@ -24,7 +24,8 @@ from repro.core.controller import BaselineController, MemoryController
 from repro.core.layout import PopularityGrouper
 from repro.core.migration import MigrationPlanner
 from repro.core.popularity import PopularityTracker
-from repro.energy.accounting import EnergyBreakdown, TimeBreakdown
+from repro.energy.accounting import (BUCKET_SLOT, EnergyBreakdown,
+                                     TimeBreakdown)
 from repro.energy.policies import AlwaysOnPolicy
 from repro.energy.states import PowerState
 from repro.errors import ConfigurationError, GuaranteeViolationError
@@ -229,17 +230,18 @@ class _PChip:
 
     _transit_power = 0.0
 
-    def observe(self, now: float) -> tuple[dict[str, float], float]:
+    def observe(self, now: float) -> tuple[list[float], float]:
         """Residency-to-date buckets and instantaneous power at ``now``.
 
-        Strictly read-only: the pending ``now - _last`` span is
-        classified exactly as :meth:`touch` will classify it, but
-        nothing is accrued — splitting an accrual at an observation
-        point would change float rounding, and observed runs must stay
-        bit-identical in energy. Used by the epoch probe only.
+        The buckets come as a list laid out like
+        :meth:`TimeBreakdown.as_list`. Strictly read-only: the
+        pending ``now - _last`` span is classified exactly as
+        :meth:`touch` will classify it, but nothing is accrued —
+        splitting an accrual at an observation point would change float
+        rounding, and observed runs must stay bit-identical in energy.
+        Used by the epoch probe only.
         """
-        buckets = self.time.as_dict()
-        buckets.pop("total", None)
+        buckets = self.time.as_list()
         in_transit = (self.waking_until is not None
                       or self.transition_until is not None)
         if self.serving is not None:
@@ -253,20 +255,19 @@ class _PChip:
             return buckets, power
         if self.serving is not None:
             if self.serving.priority == _PRIO_PROC:
-                buckets["serving_proc"] += delta
+                bucket = "serving_proc"
             elif self.serving.priority == _PRIO_DMA:
-                buckets["serving_dma"] += delta
+                bucket = "serving_dma"
             else:
-                buckets["migration"] += delta
+                bucket = "migration"
         elif in_transit:
-            buckets["transition"] += delta
+            bucket = "transition"
         elif self.state is PowerState.ACTIVE:
-            if self.inflight_transfers > 0:
-                buckets["idle_dma"] += delta
-            else:
-                buckets["idle_threshold"] += delta
+            bucket = ("idle_dma" if self.inflight_transfers > 0
+                      else "idle_threshold")
         else:
-            buckets["low_power"] += delta
+            bucket = "low_power"
+        buckets[BUCKET_SLOT[bucket]] += delta
         return buckets, power
 
     def _count_transition(self, source: PowerState,

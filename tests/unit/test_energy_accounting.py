@@ -1,8 +1,16 @@
 """Units for the energy/time breakdown accumulators."""
 
-import pytest
+from dataclasses import fields
 
-from repro.energy.accounting import EnergyBreakdown, TimeBreakdown
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.energy.accounting import (
+    BUCKET_SLOT,
+    BUCKETS,
+    EnergyBreakdown,
+    TimeBreakdown,
+)
 from repro.errors import SimulationError
 
 
@@ -89,3 +97,24 @@ class TestTimeBreakdown:
     def test_validate_rejects_negative(self):
         with pytest.raises(SimulationError):
             TimeBreakdown(idle_dma=-5.0).validate()
+
+
+bucket_values = st.lists(
+    st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
+    min_size=7, max_size=7)
+
+
+class TestBucketOrder:
+    def test_buckets_are_the_field_order(self):
+        assert BUCKETS == tuple(f.name for f in fields(TimeBreakdown))
+        assert BUCKETS == tuple(f.name for f in fields(EnergyBreakdown))
+        assert [BUCKET_SLOT[name] for name in BUCKETS] == list(range(7))
+
+    @given(bucket_values)
+    @settings(max_examples=100)
+    def test_total_sums_in_field_order(self, values):
+        """``total`` is the field-order sum, bit for bit."""
+        for cls in (EnergyBreakdown, TimeBreakdown):
+            breakdown = cls(**dict(zip(BUCKETS, values)))
+            expected = sum(getattr(breakdown, f.name) for f in fields(cls))
+            assert breakdown.total.hex() == expected.hex()

@@ -2,6 +2,7 @@
 validation, the digest ring, trail (de)serialisation, chain bisection,
 result deltas, and the DiffServer."""
 
+import hashlib
 import json
 import urllib.request
 from types import SimpleNamespace
@@ -95,6 +96,37 @@ class TestRecorderMisuse:
         recorder.bind(probe)
         with pytest.raises(DiffError):
             recorder.bind(probe)
+
+
+class TestRecorderReprReuse:
+    """The recorder re-``repr``s only slots whose value object changed;
+    its chain must still equal one that re-``repr``s everything."""
+
+    @staticmethod
+    def reference_tip(vectors):
+        chain = b""
+        for values in vectors:
+            payload = "|".join(repr(v) for v in values).encode("ascii")
+            chain = hashlib.blake2b(chain + payload, digest_size=16).digest()
+        return chain.hex()
+
+    def recorded_tip(self, vectors):
+        recorder = DigestRecorder(DigestConfig())
+        recorder.bind(SimpleNamespace(label="fluid", period=1000.0,
+                                      fields=("ts", "a", "b")))
+        for values in vectors:
+            recorder.sample(values)
+        return recorder.trail().chain_tip
+
+    def test_signed_zero_is_not_reused(self):
+        # 0.0 == -0.0, but their reprs (and so the chain) differ.
+        vectors = [[0.0, 0.0, -0.0], [1.0, -0.0, 0.0], [2.0, 0.0, 0.0]]
+        assert self.recorded_tip(vectors) == self.reference_tip(vectors)
+
+    def test_shared_objects_reuse_their_repr(self):
+        kept = 12345.678
+        vectors = [[float(t), kept, t / 3.0] for t in range(5)]
+        assert self.recorded_tip(vectors) == self.reference_tip(vectors)
 
 
 class TestTrailRoundTrip:

@@ -159,6 +159,12 @@ class SlackAccount:
         groups = math.ceil(self.num_buses / self.saturating_buses)
         return m * self.service_cycles * groups
 
+    def projected_delay(self, pending_by_bus: dict[int, int]) -> float:
+        """``n * U / 2``: the projected additional queueing delay of the
+        ``n`` requests pending for one chip."""
+        n = sum(pending_by_bus.values())
+        return n * self.service_upper_bound(pending_by_bus) / 2.0
+
     def should_release(self, pending_by_bus: dict[int, int],
                        arrived_requests: float, now: float = 0.0) -> bool:
         """True if the pending requests for a chip must start now.
@@ -175,8 +181,7 @@ class SlackAccount:
             return False
         if len(pending_by_bus) >= self.saturating_buses:
             return True
-        n = sum(pending_by_bus.values())
-        projected = n * self.service_upper_bound(pending_by_bus) / 2.0
+        projected = self.projected_delay(pending_by_bus)
         slack = self.slack(arrived_requests)
         if slack < 0.0:
             self._violations += 1

@@ -26,6 +26,7 @@ active, which are admitted immediately.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from typing import TYPE_CHECKING, Callable
 
@@ -82,6 +83,10 @@ class TemporalAlignmentController(MemoryController):
         self._pending_buses: dict[int, dict[int, int]] = {}
         self._pending_total = 0
         self._pending_requests = 0  # committed requests of buffered heads
+        #: Bounds over the buffered heads for the quiet-epoch pre-check
+        #: (:meth:`_head_bounds`): updated by an admit, ``None`` after a
+        #: pop until the next epoch rebuilds them.
+        self._bounds: tuple[float, int, float] | None = None
 
         # Counters for the simulation result.
         self.transfers_buffered = 0
@@ -116,7 +121,26 @@ class TemporalAlignmentController(MemoryController):
         arrived = self._arrived()
         return arrived, self.slack.slack(arrived) / (self._pending_total + 1)
 
+    def _head_bounds(self) -> tuple[float, int, float]:
+        """``(oldest arrival, fewest requests, largest projection)``
+        over the buffered heads.
+
+        The projection of a chip is ``n * U / 2`` exactly as
+        :meth:`SlackAccount.should_release` computes it, or ``inf`` for a
+        chip with heads from ``k`` or more buses (released on sight).
+        """
+        heads = [s for streams in self._pending.values() for s in streams]
+        slack = self.slack
+        projected = max(
+            math.inf if len(by_bus) >= slack.saturating_buses
+            else slack.projected_delay(by_bus)
+            for by_bus in self._pending_buses.values())
+        return (min(s.arrival_time for s in heads),
+                min(getattr(s, "num_requests", 0) or 1 for s in heads),
+                projected)
+
     def _pop_pending(self, chip_id: int) -> list[FluidStream]:
+        self._bounds = None
         self._pending_buses.pop(chip_id, None)
         streams = self._pending.pop(chip_id, [])
         self._pending_total -= len(streams)
@@ -199,16 +223,16 @@ class TemporalAlignmentController(MemoryController):
         by_bus = self._pending_buses.setdefault(chip_id, {})
         bus = stream.bus_id if stream.bus_id is not None else -1
         by_bus[bus] = by_bus.get(bus, 0) + 1
+        requests = getattr(stream, "num_requests", 0) or 1
         self._pending_total += 1
-        self._pending_requests += getattr(stream, "num_requests", 0) or 1
+        self._pending_requests += requests
         self.transfers_buffered += 1
         if self._tracer is not None:
             self._tracer.instant(now, "ta.buffer", TRACK_CONTROLLER,
                                  {"chip": chip_id,
                                   "bus": getattr(stream, "bus_id", None),
                                   "id": getattr(stream, "seq", 0),
-                                  "requests": getattr(stream, "num_requests",
-                                                      0) or 1,
+                                  "requests": requests,
                                   "pending": self._pending_total})
 
         if len(by_bus) >= self.slack.saturating_buses:
@@ -221,25 +245,57 @@ class TemporalAlignmentController(MemoryController):
             batch = self._pop_pending(chip_id)
             self._record_release(chip_id, batch, "slack", now)
             return batch
+        if self._bounds is not None:
+            # One more head: the minima can only fall and only this
+            # chip's projection (below ``k`` buses here) can rise, so
+            # the bounds stay exact.
+            oldest, fewest, projected = self._bounds
+            self._bounds = (min(oldest, stream.arrival_time),
+                            min(fewest, requests),
+                            max(projected, self.slack.projected_delay(by_bus)))
         return []
 
     def epoch_cycles(self) -> float | None:
         return self._epoch_cycles
 
     def on_epoch(self, now: float) -> dict[int, list[FluidStream]]:
-        self.slack.charge_epoch(self._epoch_cycles, self._pending_total, now)
-        releases: dict[int, list[FluidStream]] = {}
+        slack = self.slack
+        slack.charge_epoch(self._epoch_cycles, self._pending_total, now)
         if not self._pending:
-            return releases
-        credit = self.slack.credit_per_request()
-        arrived, shared = self._budget()
+            return {}
+        # _budget() and SlackAccount.slack(), flattened: same expressions.
+        credit = slack.mu * slack.service_cycles
+        arrived = self._arrived_served() + self._pending_requests
+        balance = arrived * credit + slack._extra_credits - slack._charges
+        shared = balance / (self._pending_total + 1)
+        if self._tracer is None:
+            # Exact pre-check. Each head's deadline test compares
+            # ``now - arrival`` with ``deadline_fraction * max(credit *
+            # requests, shared)``. Rounding is monotone, so both sides
+            # are bounded by the values for the oldest arrival and the
+            # fewest requests: if that pair is inside its deadline,
+            # every head is. Every chip's slack test sees this same
+            # ``balance``: with no violation to count and the largest
+            # projection below the threshold, no chip releases. The
+            # per-chip loop would then release and count nothing.
+            if self._bounds is None:
+                self._bounds = self._head_bounds()
+            oldest, fewest, projected = self._bounds
+            least = credit * fewest
+            if shared > least:
+                least = shared  # max(least, shared) without the call
+            if (balance >= 0.0
+                    and projected < slack.release_fraction * balance
+                    and now - oldest < self._deadline_fraction * least):
+                return {}
+        releases: dict[int, list[FluidStream]] = {}
         for chip_id in list(self._pending):
             if any(now - s.arrival_time >= self._allowance(s, credit, shared)
                    for s in self._pending[chip_id]):
                 reason = "deadline"
                 self.releases_by_deadline += 1
-            elif self.slack.should_release(self._pending_buses[chip_id],
-                                           arrived, now):
+            elif slack.should_release(self._pending_buses[chip_id],
+                                      arrived, now):
                 reason = "slack"
                 self.releases_by_slack += 1
             else:

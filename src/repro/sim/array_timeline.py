@@ -145,7 +145,7 @@ class ArrayTimelineKernel:
         # pending probe time closes the window like any other shared-
         # state observer (math.inf — no cut at all — when unobserved).
         horizon = min(engine._next_arrival_time,
-                      engine._next_epoch_time,
+                      engine.queue.slot_time,
                       engine._next_interval_time,
                       engine._next_probe_time)
         for other_bus, fifo in enumerate(engine._bus_fifo):

@@ -13,6 +13,7 @@ cross-validates it against :class:`~repro.sim.precise.PreciseEngine`.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 
 from repro.config import SimulationConfig
@@ -205,8 +206,13 @@ class FluidEngine:
             now - self._dma_work_time)
 
     def _served_requests(self) -> float:
-        """Arrived (~served) DMA-memory requests, excluding buffered heads."""
-        return self._served_dma_work(self.queue.now) / self._serve_cycles
+        """Arrived (~served) DMA-memory requests, excluding buffered heads.
+
+        ``_served_dma_work(queue.now)`` inlined: the controller reads
+        this once per epoch.
+        """
+        return (self._dma_work_base + self._dma_work_rate * (
+            self.queue._now - self._dma_work_time)) / self._serve_cycles
 
     # ------------------------------------------------------------------
     # Run loop
@@ -233,7 +239,7 @@ class FluidEngine:
         if self.trace.records:
             self.queue.push(self.trace.records[0].time, EventKind.ARRIVAL, 0)
         if self._epoch:
-            self.queue.push(self._epoch, EventKind.EPOCH, None)
+            self.queue.set_slot(self._epoch, EventKind.EPOCH)
         if self._pl_enabled:
             self.queue.push(
                 self.config.layout.interval_cycles, EventKind.INTERVAL, None)
@@ -408,10 +414,48 @@ class FluidEngine:
                                 float(self.controller.pending_count()))
             self.tracer.counter(now, "served_requests", TRACK_SIM,
                                 self._served_requests())
-        for chip_id, streams in self.controller.on_epoch(now).items():
+        released = self.controller.on_epoch(now)
+        for chip_id, streams in released.items():
             self._release(self.memory.chips[chip_id], streams, now,
                           notify=True)
-        self.queue.push(now + self._epoch, EventKind.EPOCH, None)
+        if not released and self.tracer is None:
+            now = self._quiet_epochs(now)
+        self.queue.set_slot(now + self._epoch, EventKind.EPOCH)
+
+    def _quiet_epochs(self, now: float) -> float:
+        """Handle the epochs after a quiet one (it released nothing)
+        until one releases or a heap event is due first; returns the
+        time of the last epoch handled.
+
+        Between such epochs nothing but the slack charge changes: no
+        stream, bus or buffered head moves, so the main loop's drain
+        and end-of-work checks, which ran after the quiet epoch, would
+        decide the same again. Each epoch here is what popping it would
+        do: move the clock (``_served_requests`` reads it), count it and
+        run the controller.
+        """
+        queue = self.queue
+        # Nothing is pushed while epochs stay quiet: the first heap
+        # event due is the same for the whole loop.
+        due, kind = queue._heap[0][:2] if queue._heap else (math.inf, 0)
+        # At equal times the epoch goes first only before a higher kind.
+        epoch_first = kind > EventKind.EPOCH
+        epoch = self._epoch
+        on_epoch = self.controller.on_epoch
+        handled = 0
+        released: dict = {}
+        while not released:
+            time = now + epoch
+            if time > due or (time == due and not epoch_first):
+                break
+            queue._now = now = time
+            handled += 1
+            released = on_epoch(now)
+        self._epochs_counter.inc(handled)
+        for chip_id, streams in released.items():
+            self._release(self.memory.chips[chip_id], streams, now,
+                          notify=True)
+        return now
 
     def _on_probe(self, now: float) -> None:
         self.probe.sample(now)

@@ -49,7 +49,7 @@ _EV_REQUEST_AT_CHIP = 2
 _EV_SERVE_DONE = 3
 _EV_CHIP_READY = 4
 _EV_DESCENT = 5
-_EV_EPOCH = 6
+_EV_EPOCH = 6  # kept in the queue's slot (EventQueue.set_slot)
 _EV_INTERVAL = 7
 # Highest kind: the epoch probe pops last at equal timestamps, so it
 # observes the settled state of its instant. Handled inline in the run
@@ -450,12 +450,12 @@ class PreciseEngine:
         self._open_transfers = 0
 
         # Next times at which shared state can be observed (trace
-        # arrival, DMA-TA epoch, PL interval); the array-timeline
-        # kernel's batching horizon. Maintained wherever the
-        # corresponding events are (re-)scheduled.
+        # arrival, PL interval, probe tick); with the DMA-TA epoch (the
+        # queue's slot time) the array-timeline kernel's batching
+        # horizon. Maintained wherever the corresponding events are
+        # (re-)scheduled.
         self._next_arrival_time = (trace.records[0].time if trace.records
                                    else math.inf)
-        self._next_epoch_time = math.inf
         self._next_interval_time = math.inf
         self._next_probe_time = math.inf
         if vectorize:
@@ -503,8 +503,7 @@ class PreciseEngine:
             self.queue.push(self.trace.records[0].time, _EV_ARRIVAL, 0)
         epoch = self.controller.epoch_cycles()
         if epoch:
-            self.queue.push(epoch, _EV_EPOCH, None)
-            self._next_epoch_time = epoch
+            self.queue.set_slot(epoch, _EV_EPOCH)
         if self._pl_enabled:
             self.queue.push(self.config.layout.interval_cycles,
                             _EV_INTERVAL, None)
@@ -823,7 +822,6 @@ class PreciseEngine:
 
     def _on_epoch(self, payload, now: float) -> None:
         if not self._work_remaining():
-            self._next_epoch_time = math.inf
             return
         self.registry.counter("sim.epochs").inc()
         if self.tracer is not None:
@@ -833,12 +831,7 @@ class PreciseEngine:
                                 float(self.arrived_requests))
         for chip_id, transfers in self.controller.on_epoch(now).items():
             self._do_release(chip_id, transfers, now, notify=True)
-        epoch = self.controller.epoch_cycles()
-        if epoch:
-            self._next_epoch_time = now + epoch
-            self.queue.push(self._next_epoch_time, _EV_EPOCH, None)
-        else:
-            self._next_epoch_time = math.inf
+        self.queue.set_slot(now + self.controller.epoch_cycles(), _EV_EPOCH)
 
     def _on_interval(self, payload, now: float) -> None:
         if self._records_done and self._open_transfers == 0:

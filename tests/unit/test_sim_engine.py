@@ -53,6 +53,58 @@ class TestEventQueue:
         assert q and len(q) == 1
 
 
+class TestEventQueueSlot:
+    def test_slot_pops_between_lower_and_higher_kinds(self):
+        q = EventQueue()
+        for kind in reversed(EventKind):
+            if kind is not EventKind.EPOCH:
+                q.push(5.0, kind, kind.name)
+        q.set_slot(5.0, EventKind.EPOCH)
+        order = [q.pop()[1] for _ in range(len(q))]
+        assert order == sorted(EventKind)
+
+    def test_slot_time_order(self):
+        q = EventQueue()
+        q.push(3.0, EventKind.PROBE, "probe")
+        q.set_slot(2.0, EventKind.EPOCH)
+        q.push(1.0, EventKind.INTERVAL, "interval")
+        assert [q.pop()[0] for _ in range(3)] == [1.0, 2.0, 3.0]
+        assert q.now == 3.0
+
+    def test_len_and_bool_count_the_slot(self):
+        q = EventQueue()
+        q.set_slot(1.0, EventKind.EPOCH)
+        assert q and len(q) == 1
+        q.push(2.0, EventKind.ARRIVAL, None)
+        assert len(q) == 2
+        assert q.pop() == (1.0, EventKind.EPOCH, None)
+        assert q.slot_time == float("inf")
+        assert len(q) == 1
+
+    def test_slot_in_past_rejected(self):
+        q = EventQueue()
+        q.push(10.0, EventKind.ARRIVAL, None)
+        q.pop()
+        with pytest.raises(SimulationError):
+            q.set_slot(5.0, EventKind.EPOCH)
+
+    def test_slot_pops_from_empty_heap(self):
+        q = EventQueue()
+        q.set_slot(4.0, EventKind.EPOCH)
+        assert q.slot_time == 4.0
+        assert q.pop() == (4.0, EventKind.EPOCH, None)
+        assert q.now == 4.0
+        assert not q
+        with pytest.raises(SimulationError):
+            q.pop()
+
+    def test_set_slot_replaces_pending_one(self):
+        q = EventQueue()
+        q.set_slot(4.0, EventKind.EPOCH)
+        q.set_slot(6.0, EventKind.EPOCH)
+        assert len(q) == 1 and q.pop()[0] == 6.0
+
+
 def make_result(**overrides):
     defaults = dict(
         trace_name="t", technique="baseline", engine="fluid",
